@@ -54,30 +54,6 @@ let micro () =
     done;
     Pcc_sim.Engine.run engine
   in
-  let heap_bench () =
-    let h = Pcc_sim.Event_heap.create () in
-    for i = 0 to 99 do
-      ignore (Pcc_sim.Event_heap.push h ~time:(float_of_int (i * 7919 mod 100)) i)
-    done;
-    while Pcc_sim.Event_heap.pop h <> None do
-      ()
-    done
-  in
-  let heap_churn_bench () =
-    (* Timer-wheel-like churn: push, cancel half (as rescheduled timers
-       do), pop the survivors. Exercises the lazy-deletion path. *)
-    let h = Pcc_sim.Event_heap.create () in
-    let handles =
-      Array.init 256 (fun i ->
-          Pcc_sim.Event_heap.push h ~time:(float_of_int (i * 7919 mod 256)) i)
-    in
-    Array.iteri
-      (fun i han -> if i land 1 = 0 then Pcc_sim.Event_heap.cancel han)
-      handles;
-    while Pcc_sim.Event_heap.pop h <> None do
-      ()
-    done
-  in
   let rng = Pcc_sim.Rng.create 1 in
   let rng_bench () = ignore (Pcc_sim.Rng.float rng) in
   let utility = Pcc_core.Utility.safe () in
@@ -115,9 +91,6 @@ let micro () =
     [
       Test.make ~name:"engine: 100-event cascade" (Staged.stage engine_bench);
       Test.make ~name:"engine: 10k-event drain" (Staged.stage engine_drain_bench);
-      Test.make ~name:"event_heap: 100 push+pop" (Staged.stage heap_bench);
-      Test.make ~name:"event_heap: 256 push+cancel+pop churn"
-        (Staged.stage heap_churn_bench);
       Test.make ~name:"rng: one float" (Staged.stage rng_bench);
       Test.make ~name:"utility: one safe eval" (Staged.stage utility_bench);
       Test.make ~name:"pcc: 1 simulated second @20Mbps"
@@ -150,217 +123,14 @@ let micro () =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler micro-benchmarks (--sched): the heap and the timing wheel
-   on the same synthetic workloads, at pending counts where their
-   asymptotics separate. Methodology: build the pending set, Gc.compact,
-   then time only the steady-state loop; the heap and wheel variants are
-   written out separately (no closure indirection) so each backend is
-   measured at its real call cost. All loops use the allocation-free
-   [pop_cb] path — the one the engine dispatch loop runs on.
-
-   Absolute ratios are machine-dependent: the heap's sift loops are
-   cache-miss-bound, so a CPU with an L3 large enough to hold a
-   million-entry key array (hundreds of MB on big server parts) shows
-   smaller wheel-vs-heap ratios than a desktop-class cache does. *)
-
-module EH = Pcc_sim.Event_heap
-module TW = Pcc_sim.Timing_wheel
-
-type sched_record = {
-  s_name : string;
-  s_pending : int;
-  s_ops : int;
-  s_heap : float;  (* wall seconds, heap backend *)
-  s_wheel : float;  (* wall seconds, wheel backend *)
-}
-
-let sched_fill_heap n =
-  let h = EH.create () in
-  for i = 0 to n - 1 do
-    EH.push_unit h ~time:(float_of_int i *. 1e-5) i
-  done;
-  h
-
-let sched_fill_wheel n =
-  let w = TW.create ~dummy:0 () in
-  for i = 0 to n - 1 do
-    TW.push_unit w ~time:(float_of_int i *. 1e-5) i
-  done;
-  w
-
-(* Timer churn: every pop reschedules 10 ms out, holding the pending
-   count constant — the steady state of a simulation where each flow
-   keeps one live timer. *)
-let sched_churn_heap ~pending ~ops =
-  let h = sched_fill_heap pending in
-  let k tm v = EH.push_unit h ~time:(tm +. 0.01) v in
-  Gc.compact ();
-  let t0 = now_s () in
-  for _ = 1 to ops do
-    ignore (EH.pop_cb h k)
-  done;
-  now_s () -. t0
-
-let sched_churn_wheel ~pending ~ops =
-  let w = sched_fill_wheel pending in
-  let k tm v = TW.push_unit w ~time:(tm +. 0.01) v in
-  Gc.compact ();
-  let t0 = now_s () in
-  for _ = 1 to ops do
-    ignore (TW.pop_cb w k)
-  done;
-  now_s () -. t0
-
-(* Full drain of a large pending set, nothing rescheduled. *)
-let sched_drain_heap ~pending =
-  let h = sched_fill_heap pending in
-  let sink _ _ = () in
-  Gc.compact ();
-  let t0 = now_s () in
-  while EH.pop_cb h sink do
-    ()
-  done;
-  now_s () -. t0
-
-let sched_drain_wheel ~pending =
-  let w = sched_fill_wheel pending in
-  let sink _ _ = () in
-  Gc.compact ();
-  let t0 = now_s () in
-  while TW.pop_cb w sink do
-    ()
-  done;
-  now_s () -. t0
-
-(* Schedule/cancel mix: per iteration one pop, one timer armed, one
-   timer armed and immediately cancelled — a retransmission-timer-heavy
-   workload. Live count stays constant. *)
-let sched_mix_heap ~pending ~iters =
-  let h = EH.create () in
-  for i = 0 to pending - 1 do
-    ignore (EH.push h ~time:(float_of_int i *. 1e-5) i)
-  done;
-  let last = ref 0. in
-  let k tm _ = last := tm in
-  Gc.compact ();
-  let t0 = now_s () in
-  for _ = 1 to iters do
-    ignore (EH.pop_cb h k);
-    ignore (EH.push h ~time:(!last +. 0.01) 0);
-    EH.cancel (EH.push h ~time:(!last +. 0.02) 0)
-  done;
-  now_s () -. t0
-
-let sched_mix_wheel ~pending ~iters =
-  let w = TW.create ~dummy:0 () in
-  for i = 0 to pending - 1 do
-    ignore (TW.push w ~time:(float_of_int i *. 1e-5) i)
-  done;
-  let last = ref 0. in
-  let k tm _ = last := tm in
-  Gc.compact ();
-  let t0 = now_s () in
-  for _ = 1 to iters do
-    ignore (TW.pop_cb w k);
-    ignore (TW.push w ~time:(!last +. 0.01) 0);
-    TW.cancel (TW.push w ~time:(!last +. 0.02) 0)
-  done;
-  now_s () -. t0
-
-(* A small hot set self-rescheduling at microsecond scale on top of a
-   large cold pending mass parked far in the future: the incast /
-   many-flow shape, and the heap's worst case (every push sifts through
-   log2(pending) levels of cold keys). *)
-let sched_burst_heap ~pending ~ops =
-  let h = EH.create () in
-  let rng = Pcc_sim.Rng.create 11 in
-  for i = 0 to pending - 1 do
-    EH.push_unit h ~time:(1000. +. Pcc_sim.Rng.uniform rng 0. 100.) i
-  done;
-  for i = 0 to 63 do
-    EH.push_unit h ~time:(float_of_int i *. 1e-6) i
-  done;
-  let k tm v = EH.push_unit h ~time:(tm +. 5e-5) v in
-  Gc.compact ();
-  let t0 = now_s () in
-  for _ = 1 to ops do
-    ignore (EH.pop_cb h k)
-  done;
-  now_s () -. t0
-
-let sched_burst_wheel ~pending ~ops =
-  let w = TW.create ~dummy:0 () in
-  let rng = Pcc_sim.Rng.create 11 in
-  for i = 0 to pending - 1 do
-    TW.push_unit w ~time:(1000. +. Pcc_sim.Rng.uniform rng 0. 100.) i
-  done;
-  for i = 0 to 63 do
-    TW.push_unit w ~time:(float_of_int i *. 1e-6) i
-  done;
-  let k tm v = TW.push_unit w ~time:(tm +. 5e-5) v in
-  Gc.compact ();
-  let t0 = now_s () in
-  for _ = 1 to ops do
-    ignore (TW.pop_cb w k)
-  done;
-  now_s () -. t0
-
-let sched_bench () =
-  Printf.printf "\n== scheduler micro-bench (heap vs timing wheel) ==\n%!";
-  let mk name pending ops heap wheel =
-    let r =
-      { s_name = name; s_pending = pending; s_ops = ops; s_heap = heap;
-        s_wheel = wheel }
-    in
-    Printf.printf
-      "%-10s %9d pending %9d ops   heap %6.2fs (%5.1fM op/s)   wheel %6.2fs \
-       (%5.1fM op/s)   wheel/heap %.2fx\n%!"
-      r.s_name r.s_pending r.s_ops r.s_heap
-      (float_of_int r.s_ops /. r.s_heap /. 1e6)
-      r.s_wheel
-      (float_of_int r.s_ops /. r.s_wheel /. 1e6)
-      (r.s_heap /. r.s_wheel);
-    r
-  in
-  (* Sequential lets, not a list literal: element evaluation order in a
-     literal is unspecified, and each benchmark should print as it
-     finishes, top to bottom. Heap runs before wheel for the same
-     reason. *)
-  let churn_small =
-    let p = 10_000 and ops = 2_000_000 in
-    let heap = sched_churn_heap ~pending:p ~ops in
-    mk "churn-10k" p ops heap (sched_churn_wheel ~pending:p ~ops)
-  in
-  let churn =
-    let p = 1_000_000 and ops = 2_000_000 in
-    let heap = sched_churn_heap ~pending:p ~ops in
-    mk "churn-1M" p ops heap (sched_churn_wheel ~pending:p ~ops)
-  in
-  let drain =
-    let p = 1_000_000 in
-    let heap = sched_drain_heap ~pending:p in
-    mk "drain-1M" p p heap (sched_drain_wheel ~pending:p)
-  in
-  let mix =
-    let p = 1_000_000 and iters = 500_000 in
-    let heap = sched_mix_heap ~pending:p ~iters in
-    mk "mix-1M" p (4 * iters) heap (sched_mix_wheel ~pending:p ~iters)
-  in
-  let burst =
-    let p = 1_000_000 and ops = 5_000_000 in
-    let heap = sched_burst_heap ~pending:p ~ops in
-    mk "burst-1M" p ops heap (sched_burst_wheel ~pending:p ~ops)
-  in
-  [ churn_small; churn; drain; mix; burst ]
-
-(* ------------------------------------------------------------------ *)
 (* Sharded-execution bench (--shards 1,2,4): the clustered fan-in
    scenario at each requested shard count on the conservative parallel
    hub ({!Pcc_sim.Shard}), Parallel mode, reporting aggregate events/sec,
    per-shard balance and barrier overhead, plus an in-process digest
    identity check of every run against the 1-shard run. The digest gate
-   is unconditional; speedup is advisory (recorded with the host's core
-   count so CI can decide whether parallel wins were even possible). *)
+   is unconditional; speedup is advisory (recorded with the host's
+   measured parallelism so CI can decide whether parallel wins were even
+   possible). *)
 
 type shard_bench_record = {
   h_shards : int;
@@ -389,6 +159,38 @@ let shard_run_digest topo hub =
     (Topology.flows topo);
   Printf.bprintf b "events=%d" (Pcc_sim.Shard.executed hub);
   Buffer.contents b
+
+(* Effective parallelism: the same ALU spin on two domains at once
+   against one, as work per second. 2.0 means two real cores; a host
+   whose two vCPUs share one core reads about 1.0, which the nominal
+   core count cannot tell apart. Median of three, the probe
+   perfbench/host.ml also runs. *)
+let effective_parallelism () =
+  let spin () =
+    let x = ref 1 in
+    for i = 1 to 30_000_000 do
+      x := ((!x * 31) + i) land 0xFF_FFFF
+    done;
+    ignore (Sys.opaque_identity !x)
+  in
+  let time f =
+    let t0 = now_s () in
+    f ();
+    now_s () -. t0
+  in
+  let once () =
+    let one = time spin in
+    let two =
+      time (fun () ->
+          let d = Domain.spawn spin in
+          spin ();
+          Domain.join d)
+    in
+    2. *. one /. two
+  in
+  let a = Array.init 3 (fun _ -> once ()) in
+  Array.sort compare a;
+  a.(1)
 
 let shard_bench ~seed counts =
   let open Pcc_sim in
@@ -590,8 +392,8 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_bench_json ~path ~scale ~seed ~jobs ~total_wall ?(scheduler = [])
-    ?(sharding = []) ?(controllers = []) records =
+let write_bench_json ~path ~scale ~seed ~jobs ~total_wall ?(sharding = [])
+    ~parallelism ?(controllers = []) records =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -603,6 +405,7 @@ let write_bench_json ~path ~scale ~seed ~jobs ~total_wall ?(scheduler = [])
   if sharding <> [] then begin
     p "  \"sharding\": {\n";
     p "    \"cores\": %d,\n" (Domain.recommended_domain_count ());
+    p "    \"effective_parallelism\": %.3f,\n" parallelism;
     p "    \"scenario\": \"clusters=%d flows=%d duration=%g\",\n"
       shard_bench_clusters shard_bench_flows shard_bench_duration;
     p "    \"runs\": [\n";
@@ -643,26 +446,6 @@ let write_bench_json ~path ~scale ~seed ~jobs ~total_wall ?(scheduler = [])
       controllers;
     p "  ],\n"
   end;
-  if scheduler <> [] then begin
-    p "  \"scheduler\": [\n";
-    List.iteri
-      (fun i r ->
-        p "    {\n";
-        p "      \"name\": \"%s\",\n" (json_escape r.s_name);
-        p "      \"pending\": %d,\n" r.s_pending;
-        p "      \"ops\": %d,\n" r.s_ops;
-        p "      \"heap_s\": %.6f,\n" r.s_heap;
-        p "      \"wheel_s\": %.6f,\n" r.s_wheel;
-        p "      \"heap_ops_per_sec\": %.1f,\n"
-          (if r.s_heap > 0. then float_of_int r.s_ops /. r.s_heap else 0.);
-        p "      \"wheel_ops_per_sec\": %.1f,\n"
-          (if r.s_wheel > 0. then float_of_int r.s_ops /. r.s_wheel else 0.);
-        p "      \"wheel_speedup\": %.3f\n"
-          (if r.s_wheel > 0. then r.s_heap /. r.s_wheel else 0.);
-        p "    }%s\n" (if i = List.length scheduler - 1 then "" else ","))
-      scheduler;
-    p "  ],\n"
-  end;
   p "  \"experiments\": [\n";
   List.iteri
     (fun i r ->
@@ -699,7 +482,6 @@ let () =
   let out = ref "BENCH_pcc.json" in
   let trace_dir = ref None in
   let run_micro = ref false in
-  let run_sched = ref false in
   let run_controllers = ref false in
   let shard_counts = ref [] in
   let list_only = ref false in
@@ -726,9 +508,6 @@ let () =
     | "--micro" :: rest ->
       run_micro := true;
       parse rest
-    | "--sched" :: rest ->
-      run_sched := true;
-      parse rest
     | "--controllers" :: rest ->
       run_controllers := true;
       parse rest
@@ -750,7 +529,7 @@ let () =
       Printf.eprintf
         "unknown argument %s\n\
          usage: main.exe [--scale S] [--seed N] [--only a,b|none] [--jobs N] \
-         [--out FILE] [--trace DIR] [--micro] [--sched] [--controllers] \
+         [--out FILE] [--trace DIR] [--micro] [--controllers] \
          [--shards 1,2,4] [--list]\n"
         arg;
       exit 2
@@ -798,7 +577,7 @@ let () =
        jobs %d)\n"
       !scale !seed !jobs;
     (* [--only none] selects no experiments: a run that only wants the
-       --sched micro-benchmarks. *)
+       --shards or --controllers sections. *)
     let wanted e =
       (!only = [] || List.mem e.Exp_registry.name !only)
       && !only <> [ "none" ]
@@ -893,13 +672,21 @@ let () =
           end)
         Exp_registry.all
     in
-    let scheduler = if !run_sched then sched_bench () else [] in
     let controllers =
       if !run_controllers then controller_bench ~seed:!seed else []
     in
     let sharding =
       if !shard_counts = [] then []
       else shard_bench ~seed:!seed !shard_counts
+    in
+    let parallelism =
+      if sharding = [] then 0.
+      else begin
+        let p = effective_parallelism () in
+        Printf.printf "effective parallelism %.2f (%d cores reported)\n%!" p
+          (Domain.recommended_domain_count ());
+        p
+      end
     in
     (* A sharded run whose digest diverges from the 1-shard run is a
        determinism violation, same as a parallel-vs-sequential
@@ -913,7 +700,7 @@ let () =
     let total_wall = now_s () -. t_start in
     (match pool with Some p -> Runner.shutdown p | None -> ());
     write_bench_json ~path:!out ~scale:!scale ~seed:!seed ~jobs:!jobs
-      ~total_wall ~scheduler ~sharding ~controllers records;
+      ~total_wall ~sharding ~parallelism ~controllers records;
     Printf.printf "\n[bench results written to %s]\n%!" !out;
     (match (collector, !trace_dir) with
     | Some c, Some dir ->

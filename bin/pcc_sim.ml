@@ -22,36 +22,6 @@ let transport_conv =
 
 (* ------------------------------------------------------------------ *)
 
-(* The scheduler choice must land before any command body runs (engines
-   are created early in several commands), so the converter applies it
-   as a side effect of parsing: cmdliner converts every argument before
-   it evaluates a term. [with_scheduler] then only has to thread the
-   option through so the flag is parsed and documented. *)
-let scheduler_conv =
-  let parse s =
-    match Engine.scheduler_of_string (String.lowercase_ascii s) with
-    | Some sch ->
-      Engine.set_default_scheduler sch;
-      Ok sch
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown scheduler %s (heap, wheel)" s))
-  in
-  let print fmt s = Format.pp_print_string fmt (Engine.scheduler_name s) in
-  Arg.conv (parse, print)
-
-let scheduler_arg =
-  Arg.(
-    value
-    & opt (some scheduler_conv) None
-    & info [ "scheduler" ] ~docv:"BACKEND"
-        ~doc:
-          "Event-queue backend: $(b,wheel) (hierarchical timing wheel, the \
-           default) or $(b,heap) (binary heap). Both dispatch in the same \
-           deterministic order; this only changes performance. Equivalent \
-           to setting $(b,PCC_SCHEDULER).")
-
-let with_scheduler term = Term.(const (fun _sched r -> r) $ scheduler_arg $ term)
-
 let queue_of_string = function
   | "droptail" -> Some Path.Droptail
   | "codel" -> Some Path.Codel
@@ -1584,41 +1554,41 @@ let cmds =
   [
     Cmd.v
       (Cmd.info "run" ~doc:"Simulate flows sharing one bottleneck link")
-      (with_scheduler run_term);
+      run_term;
     Cmd.v
       (Cmd.info "exp"
          ~doc:
            "Reproduce the paper's experiments (optionally in parallel with \
             --jobs)")
-      (with_scheduler exp_term);
+      exp_term;
     Cmd.v
       (Cmd.info "topo"
          ~doc:
            "Simulate flows on a graph topology (multi-hop chains, congested \
             reverse paths)")
-      (with_scheduler topo_term);
+      topo_term;
     Cmd.v
       (Cmd.info "trace"
          ~doc:
            "Run a scenario with the structured tracer on and export \
             Perfetto-loadable JSON, CSV series and a decision log")
-      (with_scheduler trace_term);
+      trace_term;
     Cmd.v
       (Cmd.info "chaos"
          ~doc:
            "Run a transport through a seeded fault gauntlet and report \
             per-fault recovery")
-      (with_scheduler chaos_term);
+      chaos_term;
     Cmd.v
       (Cmd.info "game" ~doc:"Run the Sec. 2.2 game dynamics (Theorems 1-2)")
-      (with_scheduler game_term);
+      game_term;
     Cmd.v
       (Cmd.info "fuzz"
          ~doc:
            "Generate random scenarios, test them against invariant and \
             differential oracles, and minimize any failure into a replayable \
             repro file")
-      (with_scheduler fuzz_term);
+      fuzz_term;
     Cmd.v
       (Cmd.info "list" ~doc:"List transports and queue disciplines")
       Term.(ret (const list_cmd $ const ()));

@@ -6,8 +6,8 @@ open Pcc_scenario
    output is not a protocol comparison but that the simulator sustains
    tens of thousands of concurrent flows — hundreds of thousands of
    pending timers — and stays deterministic while doing so. The table
-   is pure simulation state (no wall-clock), so a run under the heap
-   and the wheel backend must render byte-identically. *)
+   is pure simulation state (no wall-clock), so a fixed seed must
+   render byte-identically on every run. *)
 
 type row = {
   flows : int;
@@ -123,8 +123,7 @@ let round ~seed ~n ~bandwidth ~rtt =
   in
   let horizon = 10. +. (8. *. ideal) in
   (* Sample the queue depth on a fixed grid: the samples are simulation
-     events themselves, so the peak is deterministic and identical under
-     every scheduler backend. *)
+     events themselves, so the peak is deterministic for a fixed seed. *)
   let peak = ref 0 in
   let samples = int_of_float (horizon /. 0.05) in
   for k = 0 to samples do
@@ -214,8 +213,8 @@ let table rows =
       note =
         Some
           "Not a paper figure: scale proof for the timing-wheel scheduler \
-           and pooled packet path. Output is simulation state only, so it \
-           is byte-identical under --scheduler heap and wheel.";
+           and pooled packet path. Output is simulation state only, so a \
+           fixed seed renders it byte-identically on every run.";
     }
 
 let print ?pool ?scale ?seed () =

@@ -6,8 +6,7 @@
     through the scheduler, pooled packet events on every hop, and a
     deterministic outcome. The rendered table contains only simulation
     state (completions, goodput, queue high-water mark, event count), so
-    a fixed seed renders byte-identically under both the heap and the
-    timing-wheel backend. The round fails (for the supervisor to catch)
+    a fixed seed renders byte-identically on every run. The round fails (for the supervisor to catch)
     if fewer than 90% of flows complete, aggregate goodput exceeds the
     bottleneck capacity, or the peak event-queue depth is implausibly
     small for the flow count. *)

@@ -23,11 +23,6 @@
       patterns, event counts);
     - serialization: [of_string (to_string s)] is structurally equal to
       [s] and runs to an identical digest;
-    - scheduler equivalence: re-running the scenario on the event-queue
-      backend the base run did {e not} use (binary heap vs hierarchical
-      timing wheel — see {!Pcc_sim.Engine.scheduler}) must produce an
-      identical digest, upholding the engine's exact [(time, seq)]
-      dispatch-order contract;
     - wrapper equivalence: a scenario expressible through the flat
       {!Pcc_scenario.Path} (single dumbbell link) or
       {!Pcc_scenario.Multihop} (droptail chain) wrappers must run
@@ -60,14 +55,10 @@ val digest : Pcc_sim.Engine.t -> Pcc_scenario.Topology.t -> string
 (** The exact-match run summary the differential oracles compare. *)
 
 val run_once :
-  ?scheduler:Pcc_sim.Engine.scheduler ->
-  Pcc_scenario.Scenario.t ->
-  (stats, failure) result
+  Pcc_scenario.Scenario.t -> (stats, failure) result
 (** Build and run the scenario once under the invariant checker and the
     semantic sweeps. Never raises: build errors, livelocks and event
-    crashes come back as failures. [scheduler] pins the event-queue
-    backend (default: the engine's process default — whatever
-    [PCC_SCHEDULER] or {!Pcc_sim.Engine.set_default_scheduler} says). *)
+    crashes come back as failures. *)
 
 val run_hub :
   shards:int -> Pcc_scenario.Scenario.t -> (stats, failure) result

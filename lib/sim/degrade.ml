@@ -49,9 +49,9 @@ let plan ?domains ~shards () =
     (fun w -> { shards = w; domains = (if w = 1 then 1 else min dmax w) })
     widths
 
-(* Process-wide default, toggled by --no-fallback on the CLI (the same
-   pattern as Engine.set_default_scheduler: the ladder runs deep inside
-   experiment tasks, so the switch flows through ambient state). *)
+(* Process-wide default, toggled by --no-fallback on the CLI: the
+   ladder runs deep inside experiment tasks, so the switch flows
+   through ambient state (an Atomic, as worker domains read it). *)
 let fallback_cell = Atomic.make true
 let set_fallback enabled = Atomic.set fallback_cell enabled
 let fallback_enabled () = Atomic.get fallback_cell

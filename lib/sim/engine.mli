@@ -30,46 +30,18 @@
 type t
 (** A simulation engine. *)
 
-type timer = Handle.t
-(** A cancellable handle on a scheduled event, independent of the
-    scheduler backend. *)
+type timer
+(** A cancellable handle on a scheduled event. *)
 
-type scheduler =
-  | Heap  (** Binary min-heap ({!Event_heap}): O(log n) operations. *)
-  | Wheel
-      (** Hierarchical timing wheel ({!Timing_wheel}): O(1) schedule and
-          near-O(1) dispatch at millions of pending events. *)
-
-(** Both backends dispatch in the identical exact
-    [(time, sent, sequence)] order, where [sent] is the engine clock at
-    the moment the event was pushed. For events posted by this engine
-    the extra component is inert — posts happen in clock order, so ties
-    break in scheduling order exactly as under a plain [(time, seq)]
-    key — but it lets {!post_from} interleave a cross-engine boundary
-    event at its true source-side posting instant (see {!Shard}). A
-    seeded simulation produces byte-identical output under either
-    backend. The
-    per-engine choice resolves, in priority order: the [?scheduler]
-    argument to {!create}, {!set_default_scheduler} (the CLI's
-    [--scheduler]), the [PCC_SCHEDULER] environment variable
-    ("heap"/"wheel"), and finally the built-in default (wheel). *)
-
-val scheduler_of_string : string -> scheduler option
-(** ["heap"] / ["wheel"] (already lowercased) to a scheduler. *)
-
-val scheduler_name : scheduler -> string
-
-val set_default_scheduler : scheduler -> unit
-(** Override the process-wide default backend for subsequently created
-    engines (thread-safe; worker domains observe it). *)
-
-val default_scheduler : unit -> scheduler
-(** The backend a parameterless {!create} would pick right now.
-    @raise Invalid_argument if [PCC_SCHEDULER] is set to garbage and no
-    override is installed. *)
-
-val scheduler : t -> scheduler
-(** The backend this engine runs on. *)
+(** The queue is a hierarchical timing wheel ({!Timing_wheel}): O(1)
+    schedule and near-O(1) dispatch at millions of pending events. It
+    dispatches in the exact [(time, sent, sequence)] order, where [sent]
+    is the engine clock at the moment the event was pushed. For events
+    posted by this engine the extra component is inert — posts happen
+    in clock order, so ties break in scheduling order exactly as under
+    a plain [(time, seq)] key — but it lets {!post_from} interleave a
+    cross-engine boundary event at its true source-side posting instant
+    (see {!Shard}). *)
 
 type error_policy =
   | Raise  (** Wrap the exception in {!Event_error} and re-raise (default). *)
@@ -93,28 +65,27 @@ val create :
   ?now:float ->
   ?stall_budget:int ->
   ?on_error:error_policy ->
-  ?scheduler:scheduler ->
   unit ->
   t
 (** [create ()] is a fresh engine with the clock at [now] (default 0).
     [stall_budget] (default 1_000_000) is the number of events that may
     execute at a single simulated instant before {!Livelock} is raised;
     legitimate bursts of simultaneous events are orders of magnitude
-    smaller. [scheduler] picks the queue backend (default: see
-    {!default_scheduler}). @raise Invalid_argument if
-    [stall_budget <= 0]. *)
+    smaller. @raise Invalid_argument if [stall_budget <= 0]. *)
 
 val now : t -> float
 (** [now t] is the current simulated time in seconds. *)
 
 val schedule : t -> at:float -> (unit -> unit) -> timer
-(** [schedule t ~at f] runs [f] when the clock reaches [at].
-    @raise Invalid_argument if [at] is in the past. *)
+(** [schedule t ~at f] runs [f] when the clock reaches [at]. An event
+    at [infinity] stays pending and never fires before a finite one.
+    @raise Invalid_argument if [at] is in the past or NaN. *)
 
 val schedule_in : t -> after:float -> (unit -> unit) -> timer
 (** [schedule_in t ~after f] runs [f] [after] seconds from now. Negative
     delays are clamped to zero (the event runs after already-queued events
-    at the current instant). *)
+    at the current instant).
+    @raise Invalid_argument if [after] is NaN. *)
 
 val post : t -> at:float -> (unit -> unit) -> unit
 (** {!schedule} without a cancellation handle: the event cannot be
@@ -132,7 +103,8 @@ val post_from : t -> sent:float -> at:float -> (unit -> unit) -> unit
     would have. This is how {!Shard}'s barrier loop injects boundary
     messages so that same-float-time ties against local events resolve
     identically at any shard count.
-    @raise Invalid_argument if [at] is in the past or [sent > at]. *)
+    @raise Invalid_argument if [at] is in the past or NaN, [sent] is
+    NaN, or [sent > at]. *)
 
 val cancel : timer -> unit
 (** [cancel timer] prevents a pending event from firing. Cancelling an
@@ -140,7 +112,7 @@ val cancel : timer -> unit
 
 val pending : t -> int
 (** Number of live events still queued. Exact: cancelled timers stop
-    counting immediately, even while still buried in the heap. *)
+    counting immediately, even while still buried in the queue. *)
 
 val next_time : t -> float option
 (** Scheduled time of the earliest pending event, or [None] when the

@@ -1,6 +1,6 @@
 (* Conservative parallel discrete-event hub.
 
-   A hub owns N engines ("shards"), each with its own queue backend,
+   A hub owns N engines ("shards"), each with its own event queue,
    clock, pools and — at the scenario layer — RNG stream. Cross-shard
    traffic flows through bounded channels whose [floor] is the link's
    minimum propagation delay; the global lookahead L (minimum floor
@@ -139,9 +139,9 @@ let chaos_of_string spec =
   in
   List.fold_left part no_chaos (String.split_on_char ',' spec)
 
-(* Process-wide default, mirroring [Engine.set_default_scheduler]:
-   hubs are created deep inside experiments and scenario builders, so
-   chaos flows through this rather than a threaded parameter.
+(* Process-wide default: hubs are created deep inside experiments and
+   scenario builders, so chaos flows through this rather than a
+   threaded parameter.
    Resolution: explicit [set_default_chaos] (CLI) beats PCC_TEST_SHARD_*
    in the environment beats none. *)
 let chaos_override = ref None
@@ -212,11 +212,11 @@ let () =
            round (Printexc.to_string origin))
     | _ -> None)
 
-let create ?scheduler ?on_error ~shards () =
+let create ?on_error ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   {
     engines =
-      Array.init shards (fun _ -> Engine.create ?on_error ?scheduler ());
+      Array.init shards (fun _ -> Engine.create ?on_error ());
     chans = [];
     controls = [];
     ctrl_ord = 0;

@@ -1,7 +1,7 @@
 (** Conservative parallel discrete-event hub.
 
     A hub partitions one simulation across [N] engines ("shards"), each
-    with its own queue backend, clock and pools. Cross-shard traffic
+    with its own event queue, clock and pools. Cross-shard traffic
     flows through {!channel}s whose [floor] is the minimum propagation
     delay of the underlying link; the hub advances every shard in
     lockstep windows bounded by the global lookahead (the minimum floor
@@ -106,22 +106,16 @@ val chaos_of_env : unit -> chaos
     @raise Invalid_argument on malformed values. *)
 
 val set_default_chaos : chaos -> unit
-(** Process-wide default applied to hubs created afterwards, mirroring
-    {!Engine.set_default_scheduler}: an explicit CLI override beats the
-    environment. *)
+(** Process-wide default applied to hubs created afterwards: an
+    explicit CLI override beats the environment. *)
 
 val default_chaos : unit -> chaos
 (** The default a fresh hub starts with: {!set_default_chaos}'s value
     when set, else {!chaos_of_env}. *)
 
-val create :
-  ?scheduler:Engine.scheduler ->
-  ?on_error:Engine.error_policy ->
-  shards:int ->
-  unit ->
-  t
-(** [create ~shards ()] builds a hub of [shards] fresh engines (all on
-    the same queue backend), with {!default_chaos} applied.
+val create : ?on_error:Engine.error_policy -> shards:int -> unit -> t
+(** [create ~shards ()] builds a hub of [shards] fresh engines, with
+    {!default_chaos} applied.
     @raise Invalid_argument if [shards < 1]. *)
 
 val configure :

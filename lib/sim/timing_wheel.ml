@@ -11,14 +11,17 @@
    the common scheduling horizon (packet deliveries, RTO timers) lands
    directly in level 0 and is chained exactly once before dispatch;
    only far-future timers pay a cascade, and there are at most two.
-   Anything beyond the top page (>= 2^48 ticks ~ 3.26 simulated years
+   Anything beyond the top page (>= 2^48 ticks ~ 8.9 simulated years
    ahead) waits in an overflow heap and is drained into the wheel when
-   the cursor's epoch reaches it.
+   the cursor's epoch reaches it. Ticks saturate at [max_int], so times
+   too large for an int tick (>= 2^62 us, and [infinity]) share the last
+   tick and stay ordered by their exact time like any same-tick events.
 
    Exact ordering contract: dispatch order is exactly (time, sent, seq)
-   — the same total order as {!Event_heap} — even though ticks quantize
-   time ([sent] is the posting instant; see Event_heap on why the key
-   carries it).
+   even though ticks quantize time. [sent] is the posting instant: a
+   local engine posts in clock order, so for its events the component is
+   inert, but a cross-engine event posted with an explicit earlier
+   [sent] sorts exactly where the sender's post would have.
    Every entry funnels through a small "ready" binary heap keyed on the
    exact event time (sequence number breaking ties): harvesting a
    level-0 slot moves entries whose tick equals the cursor into
@@ -28,9 +31,8 @@
    so popping the ready minimum is globally minimal.
 
    The layout is built to minimize cache-line touches per event, which
-   is what actually separates it from the binary heap at millions of
-   pending events (the heap's sift loops chase ~log n scattered lines
-   per pop):
+   is what matters at millions of pending events (a plain binary heap's
+   sift loops chase ~log n scattered lines per pop):
 
    - arena entry i spans [times.(i)] plus two adjacent words of [meta]
      (chain link; sequence tagged with a has-handle bit) — the key
@@ -45,18 +47,22 @@
      word, 32 mask words per summary bit; find-first-set by de Bruijn
      multiply), so advancing over sparse regions costs a handful of
      word reads, never a 65536-slot scan;
-   - {!push_unit} queues an uncancellable event with no {!Handle}
+   - {!push_unit} queues an uncancellable event with no handle
      allocated at all — the packet-delivery events that dominate
      simulations pay zero allocation and never touch the handle array.
 
-   Cancellation is lazy (shared {!Handle} state flip); dead entries are
+   Cancellation is lazy (a handle state flip); dead entries are
    freed when a harvest or heap pop surfaces them. A workload that
    cancels far-future timers en masse could strand dead entries in
    never-visited slots, so pushes trigger a sweep (walking only
    occupied slots, via the bitmap) once dead entries outnumber live
    ones past a floor — amortized O(1). *)
 
-type handle = Handle.t
+(* Cancellation handle. state: 0 = pending (queued), 1 = cancelled,
+   2 = popped. [live] aliases the owning wheel's exact live-entry
+   counter so [cancel] — which has no wheel argument — keeps that count
+   exact without a back-pointer to the wheel itself. *)
+type handle = { mutable state : int; live : int ref }
 
 let tick_seconds = 1e-6
 let inv_tick = 1. /. tick_seconds
@@ -133,11 +139,18 @@ let create ~dummy () =
 let is_empty t = !(t.live) = 0
 let size t = !(t.live)
 
-let tick_of_time time = int_of_float (time *. inv_tick)
+(* Saturating: [int_of_float] is unspecified past [max_int] and for
+   [infinity]; on x86-64 it yields 0 or a negative tick, which would
+   route the event into [ready] ahead of everything. *)
+let max_tick_float = 0x1p62 (* max_int + 1 *)
+
+let tick_of_time time =
+  let f = time *. inv_tick in
+  if f < max_tick_float then int_of_float f else max_int
 
 (* Entry state, reading the handle only when one exists. *)
 let entry_live t i =
-  t.meta.((2 * i) + 1) land 1 = 0 || t.handles.(i).Handle.state = 0
+  t.meta.((2 * i) + 1) land 1 = 0 || t.handles.(i).state = 0
 
 (* ---- find-first-set ---------------------------------------------- *)
 
@@ -240,7 +253,7 @@ let kh_remove_root (h : kheap) =
 
 (* ---- arena ------------------------------------------------------- *)
 
-let dummy_handle = Handle.make (ref 0)
+let dummy_handle = { state = 0; live = ref 0 }
 
 let grow t =
   let cap = Array.length t.payloads in
@@ -391,7 +404,7 @@ let check_time time =
 let push t ~time ?(sent = neg_infinity) v =
   check_time time;
   maybe_sweep t;
-  let h = Handle.make t.live in
+  let h = { state = 0; live = t.live } in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   incr t.live;
@@ -552,7 +565,7 @@ let take_ready t =
   let i = t.ready.kidx.(0) in
   let time = t.ready.ktimes.(0) in
   kh_remove_root t.ready;
-  if t.meta.((2 * i) + 1) land 1 = 1 then t.handles.(i).Handle.state <- 2;
+  if t.meta.((2 * i) + 1) land 1 = 1 then t.handles.(i).state <- 2;
   decr t.live;
   let v = t.payloads.(i) in
   free_slot t i;
@@ -573,7 +586,7 @@ let take_ready_cb t k =
   let i = t.ready.kidx.(0) in
   let time = t.ready.ktimes.(0) in
   kh_remove_root t.ready;
-  if t.meta.((2 * i) + 1) land 1 = 1 then t.handles.(i).Handle.state <- 2;
+  if t.meta.((2 * i) + 1) land 1 = 1 then t.handles.(i).state <- 2;
   decr t.live;
   let v = t.payloads.(i) in
   free_slot t i;
@@ -624,8 +637,13 @@ let rec peek_time t =
   end
   else None
 
-let cancel = Handle.cancel
-let cancelled = Handle.cancelled
+let cancel h =
+  if h.state = 0 then begin
+    h.state <- 1;
+    decr h.live
+  end
+
+let cancelled h = h.state = 1
 
 (* Introspection for tests and benchmarks. *)
 let stats t =

@@ -1,86 +1,7 @@
-(* The domain pool (Pcc_experiments.Runner), the event heap's exact live
-   count, and the determinism contract: identical output for any --jobs. *)
+(* The domain pool (Pcc_experiments.Runner) and the determinism
+   contract: identical output for any --jobs. *)
 
 open Pcc_experiments
-module Heap = Pcc_sim.Event_heap
-
-(* ------------------------------------------------------------------ *)
-(* Event heap: exact size under cancellation. *)
-
-let test_heap_size_buried_cancel () =
-  let h = Heap.create () in
-  let handles =
-    List.map (fun t -> (t, Heap.push h ~time:t t)) [ 5.; 1.; 4.; 2.; 3. ]
-  in
-  Alcotest.(check int) "five live" 5 (Heap.size h);
-  (* Cancel entries that are NOT at the root (times 4 and 5): they stay
-     buried in the arrays but must stop counting immediately. *)
-  List.iter (fun (t, han) -> if t >= 4. then Heap.cancel han) handles;
-  Alcotest.(check int) "three live after burying two" 3 (Heap.size h);
-  Alcotest.(check bool) "not empty" false (Heap.is_empty h);
-  (* Pops only surface the live ones, in order. *)
-  let order = List.filter_map (fun _ -> Heap.pop h) [ (); (); (); () ] in
-  Alcotest.(check (list (pair (float 0.) (float 0.))))
-    "live events in time order"
-    [ (1., 1.); (2., 2.); (3., 3.) ]
-    order;
-  Alcotest.(check int) "drained" 0 (Heap.size h);
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
-
-let test_heap_cancel_all_is_empty () =
-  let h = Heap.create () in
-  let handles = List.init 8 (fun i -> Heap.push h ~time:(float_of_int i) i) in
-  List.iter Heap.cancel handles;
-  Alcotest.(check int) "size 0 with 8 dead entries stored" 0 (Heap.size h);
-  Alcotest.(check bool) "is_empty despite stored entries" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop finds nothing" true (Heap.pop h = None)
-
-let test_heap_cancel_after_pop () =
-  let h = Heap.create () in
-  let a = Heap.push h ~time:1. "a" in
-  let _b = Heap.push h ~time:2. "b" in
-  Alcotest.(check bool) "popped a" true (Heap.pop h = Some (1., "a"));
-  (* Cancelling a's handle after it was popped must not corrupt the
-     count of the remaining live entry. *)
-  Heap.cancel a;
-  Heap.cancel a;
-  Alcotest.(check int) "b still counted" 1 (Heap.size h);
-  Alcotest.(check bool) "cancelled is false for popped" false (Heap.cancelled a);
-  Alcotest.(check bool) "popped b" true (Heap.pop h = Some (2., "b"))
-
-let test_heap_double_cancel () =
-  let h = Heap.create () in
-  let a = Heap.push h ~time:1. 1 in
-  let _b = Heap.push h ~time:2. 2 in
-  Heap.cancel a;
-  Heap.cancel a;
-  Alcotest.(check int) "double cancel decrements once" 1 (Heap.size h)
-
-let test_heap_pop_le () =
-  let h = Heap.create () in
-  let _ = Heap.push h ~time:1. 1 in
-  let h2 = Heap.push h ~time:2. 2 in
-  let _ = Heap.push h ~time:3. 3 in
-  Alcotest.(check bool) "pop_le below earliest" true
-    (Heap.pop_le h ~max_time:0.5 = None);
-  Alcotest.(check bool) "pop_le at 2.5 gives 1" true
-    (Heap.pop_le h ~max_time:2.5 = Some (1., 1));
-  Heap.cancel h2;
-  (* The cancelled 2 must be skipped without being returned. *)
-  Alcotest.(check bool) "pop_le skips cancelled" true
-    (Heap.pop_le h ~max_time:2.5 = None);
-  Alcotest.(check int) "only 3 remains" 1 (Heap.size h);
-  Alcotest.(check bool) "3 still there" true
-    (Heap.pop_le h ~max_time:10. = Some (3., 3))
-
-let test_heap_tie_break_fifo () =
-  let h = Heap.create () in
-  List.iter (fun v -> ignore (Heap.push h ~time:1. v)) [ "a"; "b"; "c" ];
-  let order = List.filter_map (fun _ -> Heap.pop h) [ (); (); () ] in
-  Alcotest.(check (list (pair (float 0.) string)))
-    "simultaneous events pop in insertion order"
-    [ (1., "a"); (1., "b"); (1., "c") ]
-    order
 
 (* ------------------------------------------------------------------ *)
 (* Runner: order preservation, seeds, errors. *)
@@ -575,17 +496,6 @@ let test_checkpoint_rejects_foreign_file () =
 
 let suites =
   [
-    ( "event_heap.live_count",
-      [
-        Alcotest.test_case "buried cancellations" `Quick
-          test_heap_size_buried_cancel;
-        Alcotest.test_case "cancel all -> empty" `Quick
-          test_heap_cancel_all_is_empty;
-        Alcotest.test_case "cancel after pop" `Quick test_heap_cancel_after_pop;
-        Alcotest.test_case "double cancel" `Quick test_heap_double_cancel;
-        Alcotest.test_case "pop_le" `Quick test_heap_pop_le;
-        Alcotest.test_case "FIFO tie-break" `Quick test_heap_tie_break_fifo;
-      ] );
     ( "runner",
       [
         Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;

@@ -1,16 +1,19 @@
-(* Scheduler backends: the timing wheel against its contract, and
-   against the heap. The load-bearing property everywhere is exact
-   (time, seq) dispatch order — same-time events come out in insertion
-   order, identically on both backends, so a seeded simulation is
-   byte-identical whichever queue it runs on. *)
+(* The event queue: the timing wheel against its contract, and against
+   a reference model. The load-bearing property everywhere is exact
+   (time, sent, seq) dispatch order — same-time events come out in
+   insertion order — so a seeded simulation is byte-identical run after
+   run. *)
 
 open Pcc_sim
-module EH = Event_heap
 module TW = Timing_wheel
 
 (* The wheel covers [cur, cur + 2^48) ticks of 1 µs; anything at or
    beyond that horizon waits in the overflow heap. *)
 let beyond_horizon = TW.tick_seconds *. 2. ** 48.
+
+(* 1e13 s is past 2^62 µs, where an event's tick no longer fits an
+   OCaml int. *)
+let past_int_ticks = 1e13
 
 let drain_wheel w =
   let out = ref [] in
@@ -24,17 +27,34 @@ let drain_wheel w =
   go ();
   List.rev !out
 
-let drain_heap h =
-  let out = ref [] in
-  let rec go () =
-    match EH.pop h with
-    | Some (t, v) ->
-      out := (t, v) :: !out;
-      go ()
-    | None -> ()
-  in
-  go ();
-  List.rev !out
+(* Reference model of the queue contract: a list kept sorted on
+   (time, sent, seq). Cancel removes the entry if it is still queued. *)
+module Model = struct
+  type 'a entry = { time : float; sent : float; seq : int; v : 'a }
+  type 'a t = { mutable entries : 'a entry list; mutable next : int }
+
+  let create () = { entries = []; next = 0 }
+  let key e = (e.time, e.sent, e.seq)
+
+  let push m ~time ?(sent = neg_infinity) v =
+    let e = { time; sent; seq = m.next; v } in
+    m.next <- m.next + 1;
+    m.entries <-
+      List.merge (fun a b -> compare (key a) (key b)) [ e ] m.entries;
+    e.seq
+
+  let cancel m seq = m.entries <- List.filter (fun e -> e.seq <> seq) m.entries
+  let size m = List.length m.entries
+
+  let pop_le m ~max_time =
+    match m.entries with
+    | e :: rest when e.time <= max_time ->
+      m.entries <- rest;
+      Some (e.time, e.v)
+    | _ -> None
+
+  let pop m = pop_le m ~max_time:infinity
+end
 
 (* Same-time events dispatch in insertion order, with push and
    push_unit drawing from one sequence counter. *)
@@ -64,8 +84,11 @@ let test_cancel_accounting () =
   Alcotest.(check int) "size counts live entries" 100 (TW.size w);
   Array.iteri (fun i h -> if i mod 2 = 0 then TW.cancel h) handles;
   Alcotest.(check int) "cancel drops size immediately" 50 (TW.size w);
+  Alcotest.(check bool) "cancelled" true (TW.cancelled handles.(0));
   TW.cancel handles.(0);
   Alcotest.(check int) "double cancel is a no-op" 50 (TW.size w);
+  Alcotest.(check (option (float 0.)))
+    "peek skips the dead minimum" (Some 1.) (TW.peek_time w);
   let popped = drain_wheel w in
   Alcotest.(check (list int))
     "cancelled entries never surface"
@@ -74,14 +97,40 @@ let test_cancel_accounting () =
   Alcotest.(check int) "empty after drain" 0 (TW.size w);
   Alcotest.(check bool) "is_empty after drain" true (TW.is_empty w);
   (* Cancelling an already-popped event must not disturb a later
-     entry reusing its arena slot. *)
+     entry reusing its arena slot, nor count as a cancellation. *)
   let h = TW.push w ~time:1. 7 in
   Alcotest.(check (list int)) "popped" [ 7 ] (List.map snd (drain_wheel w));
   TW.cancel h;
+  Alcotest.(check bool) "a popped event is not cancelled" false
+    (TW.cancelled h);
   ignore (TW.push w ~time:2. 8);
   Alcotest.(check (list int))
     "stale cancel does not kill a reused slot" [ 8 ]
-    (List.map snd (drain_wheel w))
+    (List.map snd (drain_wheel w));
+  (* Cancelling every entry leaves the wheel empty though the dead
+     entries are still stored. *)
+  let w = TW.create ~dummy:(-1) () in
+  let handles = List.init 8 (fun i -> TW.push w ~time:(float_of_int i) i) in
+  List.iter TW.cancel handles;
+  Alcotest.(check bool) "all cancelled -> is_empty" true (TW.is_empty w);
+  Alcotest.(check bool) "all cancelled -> pop None" true (TW.pop w = None);
+  (* pop_le: [None] removes nothing live, and a cancelled minimum is
+     skipped without being returned. *)
+  let w = TW.create ~dummy:(-1) () in
+  ignore (TW.push w ~time:1. 1);
+  let two = TW.push w ~time:2. 2 in
+  ignore (TW.push w ~time:3. 3);
+  Alcotest.(check bool) "pop_le below earliest" true
+    (TW.pop_le w ~max_time:0.5 = None);
+  Alcotest.(check int) "pop_le None removed nothing" 3 (TW.size w);
+  Alcotest.(check bool) "pop_le at 2.5 gives 1" true
+    (TW.pop_le w ~max_time:2.5 = Some (1., 1));
+  TW.cancel two;
+  Alcotest.(check bool) "pop_le skips cancelled" true
+    (TW.pop_le w ~max_time:2.5 = None);
+  Alcotest.(check int) "only 3 remains" 1 (TW.size w);
+  Alcotest.(check bool) "3 still there" true
+    (TW.pop_le w ~max_time:10. = Some (3., 3))
 
 (* Events pushed beyond the wheel's horizon park in the overflow heap
    and migrate into the wheel as the clock advances past epoch
@@ -108,107 +157,143 @@ let test_overflow_migration () =
     "dead overflow minimum is skipped" [ 1 ]
     (List.map snd (drain_wheel w))
 
+(* Times whose tick overflows an int (>= 2^62 µs, and infinity) must
+   wait behind every finite event, not jump the queue. *)
+let test_far_future_stays_pending () =
+  let w = TW.create ~dummy:"" () in
+  TW.push_unit w ~time:infinity "inf";
+  TW.push_unit w ~time:past_int_ticks "1e13";
+  TW.push_unit w ~time:1. "one";
+  TW.push_unit w ~time:2. "two";
+  Alcotest.(check (option (float 0.))) "peek is the finite minimum" (Some 1.)
+    (TW.peek_time w);
+  Alcotest.(check (list (pair (float 0.) string)))
+    "far-future events fire last, in time order"
+    [ (1., "one"); (2., "two"); (past_int_ticks, "1e13"); (infinity, "inf") ]
+    (drain_wheel w);
+  (* The same through the engine: [next_time] is the conservative fence
+     a sharded hub runs to, and [run ~until] must not fire the
+     never-event. *)
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note name () = log := (name, Engine.now engine) :: !log in
+  Engine.post engine ~at:infinity (note "inf");
+  Engine.post engine ~at:1. (note "one");
+  ignore (Engine.schedule_in engine ~after:infinity (note "never"));
+  Engine.post engine ~at:2. (note "two");
+  Alcotest.(check (option (float 0.))) "next_time" (Some 1.)
+    (Engine.next_time engine);
+  Engine.run ~until:10. engine;
+  Alcotest.(check (list (pair string (float 0.))))
+    "run ~until fires the finite events"
+    [ ("one", 1.); ("two", 2.) ]
+    (List.rev !log);
+  Alcotest.(check int) "infinite events still pending" 2
+    (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list string))
+    "drained in (time, seq) order"
+    [ "one"; "two"; "inf"; "never" ]
+    (List.rev_map fst !log)
+
 (* An event that keeps rescheduling itself at the current instant never
    lets the clock advance; the engine's stall watchdog must convert
-   that hang into Livelock Stall on both backends. *)
+   that hang into Livelock Stall. *)
 let test_zero_delay_livelock () =
-  List.iter
-    (fun scheduler ->
-      let engine = Engine.create ~scheduler () in
-      let rec respawn () = Engine.post engine ~at:(Engine.now engine) respawn in
-      Engine.post engine ~at:0.1 respawn;
-      match Engine.run ~until:1. engine with
-      | () ->
-        Alcotest.failf "%s: zero-delay loop terminated"
-          (Engine.scheduler_name scheduler)
-      | exception Engine.Livelock { kind = Engine.Stall; time; _ } ->
-        Alcotest.(check (float 1e-9))
-          (Engine.scheduler_name scheduler ^ ": stalled at the loop instant")
-          0.1 time
-      | exception Engine.Livelock { kind = Engine.Budget; _ } ->
-        Alcotest.failf "%s: expected Stall, got Budget"
-          (Engine.scheduler_name scheduler))
-    [ Engine.Heap; Engine.Wheel ]
+  let engine = Engine.create () in
+  let rec respawn () = Engine.post engine ~at:(Engine.now engine) respawn in
+  Engine.post engine ~at:0.1 respawn;
+  match Engine.run ~until:1. engine with
+  | () -> Alcotest.fail "zero-delay loop terminated"
+  | exception Engine.Livelock { kind = Engine.Stall; time; _ } ->
+    Alcotest.(check (float 1e-9)) "stalled at the loop instant" 0.1 time
+  | exception Engine.Livelock { kind = Engine.Budget; _ } ->
+    Alcotest.fail "expected Stall, got Budget"
 
-(* Randomized differential: an arbitrary interleaving of pushes (times
-   from ns to years, duplicates included), cancels and pops must pop
-   the identical (time, value) sequence from both backends. *)
-let test_differential_random () =
+(* Randomized differential against the reference model: an arbitrary
+   interleaving of pushes (times from ns to years, beyond the horizon,
+   past int ticks and infinity; duplicate times and explicit [sent]
+   instants included), cancels (stale ones too), pops and bounded pops
+   must agree on every result and on the live count after every step. *)
+let test_model_differential () =
   let rng = Rng.create 20260809 in
-  for _round = 1 to 20 do
-    let h = EH.create () in
+  let draw_time () =
+    match Rng.int rng 5 with
+    | 0 -> Rng.uniform rng 0. 1e-4
+    | 1 -> Rng.uniform rng 0. 10.
+    | 2 -> float_of_int (Rng.int rng 4)
+    | 3 -> Rng.uniform rng 0. (beyond_horizon *. 2.)
+    | _ -> if Rng.bool rng then past_int_ticks else infinity
+  in
+  let show = function
+    | None -> "none"
+    | Some (t, v) -> Printf.sprintf "(%h, %d)" t v
+  in
+  for round = 1 to 20 do
+    let m = Model.create () in
     let w = TW.create ~dummy:(-1) () in
-    let h_handles = ref [] and w_handles = ref [] in
-    let popped_h = ref [] and popped_w = ref [] in
+    (* (wheel handle, model seq) of every cancellable push so far. *)
+    let handles = ref [||] in
+    let agree op i a b =
+      if a <> b then
+        Alcotest.failf "round %d op %d %s: model %s vs wheel %s" round i op
+          (show a) (show b)
+    in
     for i = 0 to 999 do
-      match Rng.int rng 10 with
+      (match Rng.int rng 10 with
       | 0 | 1 | 2 | 3 | 4 ->
-        (* Mixed magnitudes: same-slot collisions, far future, overflow. *)
-        let time =
-          match Rng.int rng 4 with
-          | 0 -> Rng.uniform rng 0. 1e-4
-          | 1 -> Rng.uniform rng 0. 10.
-          | 2 -> float_of_int (Rng.int rng 4)
-          | _ -> Rng.uniform rng 0. (beyond_horizon *. 2.)
+        let time = draw_time () in
+        let sent =
+          match Rng.int rng 3 with
+          | 0 -> None
+          | 1 -> Some (float_of_int (Rng.int rng 3))
+          | _ -> Some (Rng.uniform rng 0. 3.)
         in
-        let cancellable = Rng.bool rng in
-        if cancellable then begin
-          h_handles := EH.push h ~time i :: !h_handles;
-          w_handles := TW.push w ~time i :: !w_handles
-        end
-        else begin
-          EH.push_unit h ~time i;
-          TW.push_unit w ~time i
-        end
-      | 5 | 6 -> (
-        (match EH.pop h with
-        | Some (t, v) -> popped_h := (t, v) :: !popped_h
-        | None -> ());
-        match TW.pop w with
-        | Some (t, v) -> popped_w := (t, v) :: !popped_w
-        | None -> ())
-      | _ -> (
-        (* Cancel the same (by construction) pending event in both. *)
-        match (!h_handles, !w_handles) with
-        | hh :: hrest, wh :: wrest ->
-          EH.cancel hh;
-          TW.cancel wh;
-          h_handles := hrest;
-          w_handles := wrest
-        | _ -> ())
+        let seq = Model.push m ~time ?sent i in
+        if Rng.bool rng then
+          handles := Array.append !handles [| (TW.push w ~time ?sent i, seq) |]
+        else TW.push_unit w ~time ?sent i
+      | 5 -> agree "pop" i (Model.pop m) (TW.pop w)
+      | 6 ->
+        let max_time = draw_time () in
+        agree "pop_le" i (Model.pop_le m ~max_time) (TW.pop_le w ~max_time)
+      | _ ->
+        if Array.length !handles > 0 then begin
+          let h, seq = !handles.(Rng.int rng (Array.length !handles)) in
+          Model.cancel m seq;
+          TW.cancel h
+        end);
+      if Model.size m <> TW.size w then
+        Alcotest.failf "round %d op %d: model size %d vs wheel size %d" round i
+          (Model.size m) (TW.size w)
     done;
-    popped_h := List.rev_append !popped_h (drain_heap h);
-    popped_w := List.rev_append !popped_w (drain_wheel w);
-    Alcotest.(check int)
-      "same pop count"
-      (List.length !popped_h)
-      (List.length !popped_w);
-    List.iter2
-      (fun (th, vh) (tw, vw) ->
-        if not (Float.equal th tw && vh = vw) then
-          Alcotest.failf "divergence: heap (%h, %d) vs wheel (%h, %d)" th vh tw
-            vw)
-      !popped_h !popped_w
+    let rec drain i =
+      let a = Model.pop m and b = TW.pop w in
+      agree "drain" i a b;
+      if a <> None then drain (i + 1)
+    in
+    drain 1000
   done
 
-(* End-to-end: a registry experiment renders byte-identically under
-   both backends at a fixed seed. Uses the many-flow stress entry — the
-   scenario built to exercise the wheel — at a tiny population. *)
+let prop_sorted_pops =
+  QCheck.Test.make ~name:"wheel pops in nondecreasing time order" ~count:200
+    QCheck.(list (float_bound_inclusive 1000.))
+    (fun times ->
+      let w = TW.create ~dummy:() () in
+      List.iter (fun t -> TW.push_unit w ~time:t ()) times;
+      List.map fst (drain_wheel w) = List.sort compare times)
+
+(* End-to-end: a registry experiment renders byte-identically twice at
+   a fixed seed. Uses the many-flow stress entry — the scenario built
+   to exercise the wheel — at a tiny population. *)
 let test_experiment_byte_identity () =
-  let saved = Engine.default_scheduler () in
-  Fun.protect
-    ~finally:(fun () -> Engine.set_default_scheduler saved)
-    (fun () ->
-      let render scheduler =
-        Engine.set_default_scheduler scheduler;
-        match Pcc_experiments.Exp_registry.find "manyflow" with
-        | None -> Alcotest.fail "manyflow not registered"
-        | Some e ->
-          e.Pcc_experiments.Exp_registry.render ~scale:0.005 ~seed:7 ()
-      in
-      let heap = render Engine.Heap in
-      let wheel = render Engine.Wheel in
-      Alcotest.(check string) "identical rendering" heap wheel)
+  let render () =
+    match Pcc_experiments.Exp_registry.find "manyflow" with
+    | None -> Alcotest.fail "manyflow not registered"
+    | Some e -> e.Pcc_experiments.Exp_registry.render ~scale:0.005 ~seed:7 ()
+  in
+  let first = render () in
+  Alcotest.(check string) "identical rendering" first (render ())
 
 let suites =
   [
@@ -220,11 +305,14 @@ let suites =
           test_cancel_accounting;
         Alcotest.test_case "wheel overflow migration" `Quick
           test_overflow_migration;
-        Alcotest.test_case "zero-delay livelock watchdog (both)" `Quick
+        Alcotest.test_case "far-future events stay pending" `Quick
+          test_far_future_stays_pending;
+        Alcotest.test_case "zero-delay livelock watchdog" `Quick
           test_zero_delay_livelock;
-        Alcotest.test_case "randomized heap-vs-wheel differential" `Quick
-          test_differential_random;
-        Alcotest.test_case "experiment byte-identity heap-vs-wheel" `Quick
-          test_experiment_byte_identity;
+        Alcotest.test_case "randomized reference-model differential" `Quick
+          test_model_differential;
+        QCheck_alcotest.to_alcotest prop_sorted_pops;
+        Alcotest.test_case "experiment byte-identity (same-seed double render)"
+          `Quick test_experiment_byte_identity;
       ] );
   ]

@@ -33,74 +33,6 @@ let test_bdp () =
     (Units.bdp_bytes ~rate:(Units.mbps 100.) ~rtt:0.03)
 
 (* ------------------------------------------------------------------ *)
-(* Event heap *)
-
-let test_heap_order () =
-  let h = Event_heap.create () in
-  ignore (Event_heap.push h ~time:3. "c");
-  ignore (Event_heap.push h ~time:1. "a");
-  ignore (Event_heap.push h ~time:2. "b");
-  let pop () = match Event_heap.pop h with Some (_, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ]
-    [ first; second; third ];
-  Alcotest.(check bool) "empty" true (Event_heap.is_empty h)
-
-let test_heap_fifo_ties () =
-  let h = Event_heap.create () in
-  ignore (Event_heap.push h ~time:1. "first");
-  ignore (Event_heap.push h ~time:1. "second");
-  ignore (Event_heap.push h ~time:1. "third");
-  let pop () = match Event_heap.pop h with Some (_, v) -> v | None -> "?" in
-  let a = pop () in
-  let b = pop () in
-  let c = pop () in
-  Alcotest.(check (list string)) "insertion order on ties"
-    [ "first"; "second"; "third" ]
-    [ a; b; c ]
-
-let test_heap_cancel () =
-  let h = Event_heap.create () in
-  let _a = Event_heap.push h ~time:1. "a" in
-  let b = Event_heap.push h ~time:2. "b" in
-  ignore (Event_heap.push h ~time:3. "c");
-  Event_heap.cancel b;
-  Alcotest.(check bool) "cancelled" true (Event_heap.cancelled b);
-  let pop () = match Event_heap.pop h with Some (_, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  Alcotest.(check (list string)) "skips cancelled" [ "a"; "c" ]
-    [ first; second ];
-  (* Cancelling twice is harmless. *)
-  Event_heap.cancel b
-
-let test_heap_cancel_root () =
-  let h = Event_heap.create () in
-  let a = Event_heap.push h ~time:1. "a" in
-  ignore (Event_heap.push h ~time:2. "b");
-  Event_heap.cancel a;
-  Alcotest.(check (option (float 0.))) "peek skips dead root" (Some 2.)
-    (Event_heap.peek_time h);
-  Alcotest.(check int) "size purges root" 1 (Event_heap.size h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
-    QCheck.(list (float_bound_inclusive 1000.))
-    (fun times ->
-      let h = Event_heap.create () in
-      List.iter (fun t -> ignore (Event_heap.push h ~time:t ())) times;
-      let rec drain acc =
-        match Event_heap.pop h with
-        | Some (t, ()) -> drain (t :: acc)
-        | None -> List.rev acc
-      in
-      let popped = drain [] in
-      List.length popped = List.length times
-      && popped = List.sort compare times)
-
-(* ------------------------------------------------------------------ *)
 (* Engine *)
 
 let test_engine_order () =
@@ -141,6 +73,21 @@ let test_engine_past_raises () =
        ignore (Engine.schedule engine ~at:1. (fun () -> ()));
        false
      with Invalid_argument _ -> true)
+
+(* NaN passes both the [at < now] and the [after < 0.] comparisons, so
+   every entry point must reject it explicitly, naming itself. *)
+let nan_rejected msg push () =
+  let engine = Engine.create () in
+  Alcotest.check_raises msg (Invalid_argument msg) (fun () -> push engine);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending engine)
+
+let test_engine_nan_post_from () =
+  nan_rejected "Engine.post_from: time is NaN"
+    (fun e -> Engine.post_from e ~sent:0. ~at:nan ignore)
+    ();
+  nan_rejected "Engine.post_from: sent instant is NaN"
+    (fun e -> Engine.post_from e ~sent:nan ~at:1. ignore)
+    ()
 
 let test_engine_nested_scheduling () =
   let engine = Engine.create () in
@@ -360,20 +307,26 @@ let suites =
         Alcotest.test_case "packets of bytes" `Quick test_packets_of_bytes;
         Alcotest.test_case "bdp" `Quick test_bdp;
       ] );
-    ( "sim.event_heap",
-      [
-        Alcotest.test_case "pop order" `Quick test_heap_order;
-        Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-        Alcotest.test_case "cancellation" `Quick test_heap_cancel;
-        Alcotest.test_case "cancel root" `Quick test_heap_cancel_root;
-        q prop_heap_sorts;
-      ] );
     ( "sim.engine",
       [
         Alcotest.test_case "event order" `Quick test_engine_order;
         Alcotest.test_case "run until" `Quick test_engine_until;
         Alcotest.test_case "cancel" `Quick test_engine_cancel;
         Alcotest.test_case "past schedule raises" `Quick test_engine_past_raises;
+        Alcotest.test_case "NaN rejected: schedule" `Quick
+          (nan_rejected "Engine.schedule: time is NaN" (fun e ->
+               ignore (Engine.schedule e ~at:nan ignore)));
+        Alcotest.test_case "NaN rejected: schedule_in" `Quick
+          (nan_rejected "Engine.schedule_in: delay is NaN" (fun e ->
+               ignore (Engine.schedule_in e ~after:nan ignore)));
+        Alcotest.test_case "NaN rejected: post" `Quick
+          (nan_rejected "Engine.post: time is NaN" (fun e ->
+               Engine.post e ~at:nan ignore));
+        Alcotest.test_case "NaN rejected: post_in" `Quick
+          (nan_rejected "Engine.post_in: delay is NaN" (fun e ->
+               Engine.post_in e ~after:nan ignore));
+        Alcotest.test_case "NaN rejected: post_from" `Quick
+          test_engine_nan_post_from;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
         Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
         Alcotest.test_case "negative delay clamped" `Quick
