@@ -84,11 +84,8 @@ let test_cancel_accounting () =
   Alcotest.(check int) "size counts live entries" 100 (TW.size w);
   Array.iteri (fun i h -> if i mod 2 = 0 then TW.cancel h) handles;
   Alcotest.(check int) "cancel drops size immediately" 50 (TW.size w);
-  Alcotest.(check bool) "cancelled" true (TW.cancelled handles.(0));
   TW.cancel handles.(0);
   Alcotest.(check int) "double cancel is a no-op" 50 (TW.size w);
-  Alcotest.(check (option (float 0.)))
-    "peek skips the dead minimum" (Some 1.) (TW.peek_time w);
   let popped = drain_wheel w in
   Alcotest.(check (list int))
     "cancelled entries never surface"
@@ -97,40 +94,14 @@ let test_cancel_accounting () =
   Alcotest.(check int) "empty after drain" 0 (TW.size w);
   Alcotest.(check bool) "is_empty after drain" true (TW.is_empty w);
   (* Cancelling an already-popped event must not disturb a later
-     entry reusing its arena slot, nor count as a cancellation. *)
+     entry reusing its arena slot. *)
   let h = TW.push w ~time:1. 7 in
   Alcotest.(check (list int)) "popped" [ 7 ] (List.map snd (drain_wheel w));
   TW.cancel h;
-  Alcotest.(check bool) "a popped event is not cancelled" false
-    (TW.cancelled h);
   ignore (TW.push w ~time:2. 8);
   Alcotest.(check (list int))
     "stale cancel does not kill a reused slot" [ 8 ]
-    (List.map snd (drain_wheel w));
-  (* Cancelling every entry leaves the wheel empty though the dead
-     entries are still stored. *)
-  let w = TW.create ~dummy:(-1) () in
-  let handles = List.init 8 (fun i -> TW.push w ~time:(float_of_int i) i) in
-  List.iter TW.cancel handles;
-  Alcotest.(check bool) "all cancelled -> is_empty" true (TW.is_empty w);
-  Alcotest.(check bool) "all cancelled -> pop None" true (TW.pop w = None);
-  (* pop_le: [None] removes nothing live, and a cancelled minimum is
-     skipped without being returned. *)
-  let w = TW.create ~dummy:(-1) () in
-  ignore (TW.push w ~time:1. 1);
-  let two = TW.push w ~time:2. 2 in
-  ignore (TW.push w ~time:3. 3);
-  Alcotest.(check bool) "pop_le below earliest" true
-    (TW.pop_le w ~max_time:0.5 = None);
-  Alcotest.(check int) "pop_le None removed nothing" 3 (TW.size w);
-  Alcotest.(check bool) "pop_le at 2.5 gives 1" true
-    (TW.pop_le w ~max_time:2.5 = Some (1., 1));
-  TW.cancel two;
-  Alcotest.(check bool) "pop_le skips cancelled" true
-    (TW.pop_le w ~max_time:2.5 = None);
-  Alcotest.(check int) "only 3 remains" 1 (TW.size w);
-  Alcotest.(check bool) "3 still there" true
-    (TW.pop_le w ~max_time:10. = Some (3., 3))
+    (List.map snd (drain_wheel w))
 
 (* Events pushed beyond the wheel's horizon park in the overflow heap
    and migrate into the wheel as the clock advances past epoch
@@ -275,14 +246,6 @@ let test_model_differential () =
     drain 1000
   done
 
-let prop_sorted_pops =
-  QCheck.Test.make ~name:"wheel pops in nondecreasing time order" ~count:200
-    QCheck.(list (float_bound_inclusive 1000.))
-    (fun times ->
-      let w = TW.create ~dummy:() () in
-      List.iter (fun t -> TW.push_unit w ~time:t ()) times;
-      List.map fst (drain_wheel w) = List.sort compare times)
-
 (* End-to-end: a registry experiment renders byte-identically twice at
    a fixed seed. Uses the many-flow stress entry — the scenario built
    to exercise the wheel — at a tiny population. *)
@@ -295,8 +258,167 @@ let test_experiment_byte_identity () =
   let first = render () in
   Alcotest.(check string) "identical rendering" first (render ())
 
+(* ------------------------------------------------------------------ *)
+(* Queue contract cases. The suite names sim.event_heap and
+   event_heap.live_count date from when a binary heap was the queue;
+   the contract they pin — time order, FIFO ties, lazy cancellation
+   with an exact live count — is the wheel's now, so the cases run on
+   it under their original names. *)
+
+let pop_value w = match TW.pop w with Some (_, v) -> v | None -> "?"
+
+let test_pop_order () =
+  let w = TW.create ~dummy:"" () in
+  ignore (TW.push w ~time:3. "c");
+  ignore (TW.push w ~time:1. "a");
+  ignore (TW.push w ~time:2. "b");
+  let first = pop_value w in
+  let second = pop_value w in
+  let third = pop_value w in
+  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ]
+    [ first; second; third ];
+  Alcotest.(check bool) "empty" true (TW.is_empty w)
+
+let test_fifo_ties () =
+  let w = TW.create ~dummy:"" () in
+  ignore (TW.push w ~time:1. "first");
+  ignore (TW.push w ~time:1. "second");
+  ignore (TW.push w ~time:1. "third");
+  let a = pop_value w in
+  let b = pop_value w in
+  let c = pop_value w in
+  Alcotest.(check (list string)) "insertion order on ties"
+    [ "first"; "second"; "third" ]
+    [ a; b; c ]
+
+let test_cancellation () =
+  let w = TW.create ~dummy:"" () in
+  let _a = TW.push w ~time:1. "a" in
+  let b = TW.push w ~time:2. "b" in
+  ignore (TW.push w ~time:3. "c");
+  TW.cancel b;
+  Alcotest.(check bool) "cancelled" true (TW.cancelled b);
+  let first = pop_value w in
+  let second = pop_value w in
+  Alcotest.(check (list string)) "skips cancelled" [ "a"; "c" ]
+    [ first; second ];
+  (* Cancelling twice is harmless. *)
+  TW.cancel b
+
+let test_cancel_root () =
+  let w = TW.create ~dummy:"" () in
+  let a = TW.push w ~time:1. "a" in
+  ignore (TW.push w ~time:2. "b");
+  TW.cancel a;
+  Alcotest.(check (option (float 0.))) "peek skips dead root" (Some 2.)
+    (TW.peek_time w);
+  Alcotest.(check int) "size purges root" 1 (TW.size w)
+
+let prop_sorted_pops =
+  QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
+    QCheck.(list (float_bound_inclusive 1000.))
+    (fun times ->
+      let w = TW.create ~dummy:() () in
+      List.iter (fun t -> TW.push_unit w ~time:t ()) times;
+      let popped = List.map fst (drain_wheel w) in
+      List.length popped = List.length times
+      && popped = List.sort compare times)
+
+let test_size_buried_cancel () =
+  let w = TW.create ~dummy:0. () in
+  let handles =
+    List.map (fun t -> (t, TW.push w ~time:t t)) [ 5.; 1.; 4.; 2.; 3. ]
+  in
+  Alcotest.(check int) "five live" 5 (TW.size w);
+  (* Cancel entries that are not the earliest (times 4 and 5): they stay
+     stored but must stop counting immediately. *)
+  List.iter (fun (t, h) -> if t >= 4. then TW.cancel h) handles;
+  Alcotest.(check int) "three live after burying two" 3 (TW.size w);
+  Alcotest.(check bool) "not empty" false (TW.is_empty w);
+  (* Pops only surface the live ones, in order. *)
+  let order = List.filter_map (fun _ -> TW.pop w) [ (); (); (); () ] in
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "live events in time order"
+    [ (1., 1.); (2., 2.); (3., 3.) ]
+    order;
+  Alcotest.(check int) "drained" 0 (TW.size w);
+  Alcotest.(check bool) "empty" true (TW.is_empty w)
+
+let test_cancel_all_is_empty () =
+  let w = TW.create ~dummy:(-1) () in
+  let handles = List.init 8 (fun i -> TW.push w ~time:(float_of_int i) i) in
+  List.iter TW.cancel handles;
+  Alcotest.(check int) "size 0 with 8 dead entries stored" 0 (TW.size w);
+  Alcotest.(check bool) "is_empty despite stored entries" true (TW.is_empty w);
+  Alcotest.(check bool) "pop finds nothing" true (TW.pop w = None)
+
+let test_cancel_after_pop () =
+  let w = TW.create ~dummy:"" () in
+  let a = TW.push w ~time:1. "a" in
+  let _b = TW.push w ~time:2. "b" in
+  Alcotest.(check bool) "popped a" true (TW.pop w = Some (1., "a"));
+  (* Cancelling a's handle after it was popped must not corrupt the
+     count of the remaining live entry. *)
+  TW.cancel a;
+  TW.cancel a;
+  Alcotest.(check int) "b still counted" 1 (TW.size w);
+  Alcotest.(check bool) "cancelled is false for popped" false (TW.cancelled a);
+  Alcotest.(check bool) "popped b" true (TW.pop w = Some (2., "b"))
+
+let test_double_cancel () =
+  let w = TW.create ~dummy:0 () in
+  let a = TW.push w ~time:1. 1 in
+  let _b = TW.push w ~time:2. 2 in
+  TW.cancel a;
+  TW.cancel a;
+  Alcotest.(check int) "double cancel decrements once" 1 (TW.size w)
+
+let test_pop_le () =
+  let w = TW.create ~dummy:0 () in
+  let _ = TW.push w ~time:1. 1 in
+  let two = TW.push w ~time:2. 2 in
+  let _ = TW.push w ~time:3. 3 in
+  Alcotest.(check bool) "pop_le below earliest" true
+    (TW.pop_le w ~max_time:0.5 = None);
+  Alcotest.(check int) "pop_le None removed nothing" 3 (TW.size w);
+  Alcotest.(check bool) "pop_le at 2.5 gives 1" true
+    (TW.pop_le w ~max_time:2.5 = Some (1., 1));
+  TW.cancel two;
+  (* The cancelled 2 must be skipped without being returned. *)
+  Alcotest.(check bool) "pop_le skips cancelled" true
+    (TW.pop_le w ~max_time:2.5 = None);
+  Alcotest.(check int) "only 3 remains" 1 (TW.size w);
+  Alcotest.(check bool) "3 still there" true
+    (TW.pop_le w ~max_time:10. = Some (3., 3))
+
+let test_tie_break_fifo () =
+  let w = TW.create ~dummy:"" () in
+  List.iter (fun v -> ignore (TW.push w ~time:1. v)) [ "a"; "b"; "c" ];
+  let order = List.filter_map (fun _ -> TW.pop w) [ (); (); () ] in
+  Alcotest.(check (list (pair (float 0.) string)))
+    "simultaneous events pop in insertion order"
+    [ (1., "a"); (1., "b"); (1., "c") ]
+    order
+
 let suites =
   [
+    ( "sim.event_heap",
+      [
+        Alcotest.test_case "pop order" `Quick test_pop_order;
+        Alcotest.test_case "fifo ties" `Quick test_fifo_ties;
+        Alcotest.test_case "cancellation" `Quick test_cancellation;
+        Alcotest.test_case "cancel root" `Quick test_cancel_root;
+        QCheck_alcotest.to_alcotest prop_sorted_pops;
+      ] );
+    ( "event_heap.live_count",
+      [
+        Alcotest.test_case "buried cancellations" `Quick test_size_buried_cancel;
+        Alcotest.test_case "cancel all -> empty" `Quick test_cancel_all_is_empty;
+        Alcotest.test_case "cancel after pop" `Quick test_cancel_after_pop;
+        Alcotest.test_case "double cancel" `Quick test_double_cancel;
+        Alcotest.test_case "pop_le" `Quick test_pop_le;
+        Alcotest.test_case "FIFO tie-break" `Quick test_tie_break_fifo;
+      ] );
     ( "sim.scheduler",
       [
         Alcotest.test_case "wheel same-time FIFO tie-break" `Quick
@@ -311,7 +433,6 @@ let suites =
           test_zero_delay_livelock;
         Alcotest.test_case "randomized reference-model differential" `Quick
           test_model_differential;
-        QCheck_alcotest.to_alcotest prop_sorted_pops;
         Alcotest.test_case "experiment byte-identity (same-seed double render)"
           `Quick test_experiment_byte_identity;
       ] );
